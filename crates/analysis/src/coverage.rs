@@ -1,8 +1,8 @@
 //! The trace-driven coverage simulator (Figure 8's methodology).
 
-use ltc_cache::{Hierarchy, HierarchyConfig, MemLevel};
-use ltc_predictors::{PredictorTraffic, PrefetchLevel, Prefetcher};
-use ltc_trace::TraceSource;
+use ltc_cache::{Hierarchy, HierarchyConfig, HierarchyOutcome, MemLevel};
+use ltc_predictors::{PredictorTraffic, PrefetchLevel, PrefetchRequest, Prefetcher};
+use ltc_trace::{MemoryAccess, TraceSource};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of a coverage run.
@@ -171,154 +171,160 @@ fn emit_run_point(report: &CoverageReport) {
     );
 }
 
-/// Runs a predictor against a shadow baseline on the same trace.
+/// The lockstep step of Figure 8's method, shared by every coverage
+/// driver: a baseline hierarchy, a shadow hierarchy that only the
+/// predictor's prefetches touch, and the predictor between them.
 ///
-/// Per access, both hierarchies are stepped; the cross-classification of
-/// (baseline, predictor) outcomes yields the Figure 8 categories exactly:
+/// With `SHADOW = false` (passive predictors, which never prefetch) the
+/// shadow hierarchy would replay the baseline exactly, so it is compiled
+/// out: the shadow outcome *is* the baseline outcome and one hierarchy is
+/// stepped instead of two.
+#[derive(Debug)]
+pub struct CoverageStepper<const SHADOW: bool> {
+    base: Hierarchy,
+    shadow: Option<Hierarchy>,
+    requests: Vec<PrefetchRequest>,
+    /// Prefetch fills performed so far.
+    fills: u64,
+    /// The L1 share of `fills`.
+    l1_fills: u64,
+}
+
+impl<const SHADOW: bool> CoverageStepper<SHADOW> {
+    /// Two empty hierarchies of the given geometry (one when `!SHADOW`).
+    pub fn new(hierarchy: HierarchyConfig) -> Self {
+        CoverageStepper {
+            base: Hierarchy::new(hierarchy),
+            shadow: SHADOW.then(|| Hierarchy::new(hierarchy)),
+            requests: Vec::new(),
+            fills: 0,
+            l1_fills: 0,
+        }
+    }
+
+    /// Steps both hierarchies with `access`, shows the predictor the
+    /// shadow outcome and applies its requests to the shadow hierarchy.
+    /// Returns the (baseline, shadow) outcome pair.
+    ///
+    /// Requests are applied immediately: the paper's Figure 2 shows 85 %
+    /// of dead times exceed the memory latency, so trace-driven
+    /// prefetches are assumed timely (the timing model charges real
+    /// latencies instead).
+    ///
+    /// Always inlined: each run's loop must compile to one body, as the
+    /// per-access work is a few dozen nanoseconds.
+    #[inline(always)]
+    pub fn step<P: Prefetcher + ?Sized>(
+        &mut self,
+        access: &MemoryAccess,
+        predictor: &mut P,
+    ) -> (HierarchyOutcome, HierarchyOutcome) {
+        let base = self.base.access(access.addr, access.kind);
+        let Some(shadow) = self.shadow.as_mut().filter(|_| SHADOW) else {
+            predictor.on_access(access, &base, &mut self.requests);
+            debug_assert!(
+                self.requests.is_empty(),
+                "passive predictor {} pushed a prefetch request",
+                predictor.name()
+            );
+            self.requests.clear();
+            return (base, base);
+        };
+        let out = shadow.access(access.addr, access.kind);
+        predictor.on_access(access, &out, &mut self.requests);
+        for req in self.requests.drain(..) {
+            let Some((fill, src)) = req.apply(shadow) else { continue };
+            self.fills += 1;
+            self.l1_fills += u64::from(req.level == PrefetchLevel::L1);
+            predictor.on_prefetch_applied(&req, &fill, src);
+        }
+        (base, out)
+    }
+
+    /// The hierarchy the predictor drives (the baseline when `!SHADOW`).
+    fn shadow(&self) -> &Hierarchy {
+        self.shadow.as_ref().unwrap_or(&self.base)
+    }
+
+    /// The counters a measured phase is reported relative to.
+    fn marks<P: Prefetcher + ?Sized>(&self, predictor: &P) -> Marks {
+        Marks {
+            fills: self.fills,
+            useless_l1: self.shadow().l1().stats().useless_prefetches,
+            useless_l2: self.shadow().l2().stats().useless_prefetches,
+            traffic: predictor.traffic(),
+        }
+    }
+}
+
+/// Cumulative counter readings at the start of the measured phase.
+struct Marks {
+    fills: u64,
+    useless_l1: u64,
+    useless_l2: u64,
+    traffic: PredictorTraffic,
+}
+
+impl CoverageReport {
+    /// Counts one measured access's (baseline, shadow) outcome pair.
+    ///
+    /// The cross-classification yields the Figure 8 categories exactly:
+    ///
+    /// * baseline miss, predictor hit → an eliminated miss (*correct*),
+    /// * baseline hit, predictor miss → a predictor-induced *early* eviction,
+    /// * baseline miss, predictor miss → not eliminated; counted *incorrect*
+    ///   when a wrong-target prefetch resolved uselessly, *train* otherwise.
+    #[inline]
+    fn record(
+        &mut self,
+        access: &MemoryAccess,
+        (base, shadow): (HierarchyOutcome, HierarchyOutcome),
+        line_bytes: u64,
+    ) {
+        self.accesses += 1;
+        self.instructions += access.instructions();
+        // Figure 12 base-data accounting: every off-chip fill and every
+        // write-back moves a line.
+        if base.level == MemLevel::Memory {
+            self.base_data_bytes += line_bytes;
+            self.base_l2_misses += 1;
+        }
+        if base.l2_writeback {
+            self.base_data_bytes += line_bytes;
+        }
+        match (base.l1.hit, shadow.l1.hit) {
+            (false, true) => self.correct += 1,
+            (true, false) => self.early += 1,
+            _ => {}
+        }
+        self.base_l1_misses += u64::from(!base.l1.hit);
+        self.pf_l1_misses += u64::from(!shadow.l1.hit);
+        self.pf_l2_misses += u64::from(shadow.level == MemLevel::Memory);
+        self.useful_prefetches += u64::from(shadow.l1.first_use_of_prefetch);
+    }
+}
+
+/// Runs a predictor against a shadow baseline on the same trace (see
+/// [`CoverageStepper`]), counting only the accesses after the warm-up.
 ///
-/// * baseline miss, predictor hit → an eliminated miss (*correct*),
-/// * baseline hit, predictor miss → a predictor-induced *early* eviction,
-/// * baseline miss, predictor miss → not eliminated; counted *incorrect*
-///   when a wrong-target prefetch resolved uselessly, *train* otherwise.
-///
-/// Prefetch requests are applied immediately: the paper's Figure 2 shows
-/// 85 % of dead times exceed the memory latency, so trace-driven prefetches
-/// are assumed timely (the timing model charges real latencies instead).
+/// A passive predictor runs the stepper without its shadow hierarchy;
+/// the report is byte-identical either way (the golden wall and
+/// `passive_fast_path_mirrors_two_hierarchy_run` assert this).
 pub fn run_coverage<S, P>(source: &mut S, predictor: &mut P, cfg: CoverageConfig) -> CoverageReport
 where
     S: TraceSource,
     P: Prefetcher + ?Sized,
 {
-    // A passive predictor never prefetches, so its shadow hierarchy would
-    // replay the baseline exactly: run the dedicated single-hierarchy loop
-    // that also mirrors every (base, pf) pair of counters without stepping
-    // or copying a second outcome. The report stays byte-identical (the
-    // golden wall and `passive_fast_path_mirrors_two_hierarchy_run` assert
-    // this); baseline runs cost one hierarchy instead of two.
-    if predictor.is_passive() {
-        let report = run_coverage_passive(source, predictor, cfg);
-        emit_run_point(&report);
-        return report;
-    }
-    let mut base = Hierarchy::new(cfg.hierarchy);
-    let mut pf = Hierarchy::new(cfg.hierarchy);
-    let mut report =
-        CoverageReport { predictor: predictor.name().to_string(), ..Default::default() };
-    let mut requests = Vec::new();
-    let mut l1_fills = 0u64;
-    let line_bytes = cfg.hierarchy.l1.line_bytes;
-    let mut useless_l1_before = 0u64;
-    let mut useless_l2_before = 0u64;
-    let mut traffic_before = predictor.traffic();
-
-    for access_no in 0..cfg.limit {
-        let Some(a) = source.next_access() else { break };
-        if access_no == cfg.warmup {
-            // Reset statistics at the warm-up boundary; simulation state
-            // (caches, predictor) carries over untouched.
-            let name = std::mem::take(&mut report.predictor);
-            report = CoverageReport { predictor: name, ..Default::default() };
-            useless_l1_before = pf.l1().stats().useless_prefetches;
-            useless_l2_before = pf.l2().stats().useless_prefetches;
-            traffic_before = predictor.traffic();
-        }
-        let measuring = access_no >= cfg.warmup;
-        if measuring {
-            report.accesses += 1;
-            report.instructions += a.instructions();
-        }
-
-        let base_out = base.access(a.addr, a.kind);
-        let pf_out = pf.access(a.addr, a.kind);
-
-        if measuring {
-            // Figure 12 base-data accounting: every off-chip fill moves a
-            // line.
-            if base_out.level == MemLevel::Memory {
-                report.base_data_bytes += line_bytes;
-            }
-            if base_out.l2_writeback {
-                report.base_data_bytes += line_bytes;
-            }
-
-            match (base_out.l1.hit, pf_out.l1.hit) {
-                (false, true) => report.correct += 1,
-                (true, false) => report.early += 1,
-                _ => {}
-            }
-            if !base_out.l1.hit {
-                report.base_l1_misses += 1;
-            }
-            if !pf_out.l1.hit {
-                report.pf_l1_misses += 1;
-            }
-            if base_out.level == MemLevel::Memory {
-                report.base_l2_misses += 1;
-            }
-            if pf_out.level == MemLevel::Memory {
-                report.pf_l2_misses += 1;
-            }
-            if pf_out.l1.first_use_of_prefetch {
-                report.useful_prefetches += 1;
-            }
-        }
-
-        predictor.on_access(&a, &pf_out, &mut requests);
-        for req in requests.drain(..) {
-            match req.level {
-                PrefetchLevel::L1 => {
-                    if pf.l1().contains(req.target) {
-                        continue;
-                    }
-                    let (out, src) = pf.prefetch_into_l1(req.target, req.victim);
-                    report.prefetch_fills += 1;
-                    l1_fills += 1;
-                    predictor.on_prefetch_applied(&req, &out, src);
-                }
-                PrefetchLevel::L2 => {
-                    if pf.l2().contains(req.target) {
-                        continue;
-                    }
-                    let (out, src) = pf.prefetch_into_l2(req.target);
-                    report.prefetch_fills += 1;
-                    predictor.on_prefetch_applied(&req, &out, src);
-                }
-            }
-        }
-    }
-
-    // Wrong-target accounting. For L1 (last-touch) prefetchers the useless
-    // L1 fills are the mispredictions; for L2-only prefetchers (GHB/stride)
-    // the useless L2 fills are. An L1 prefetcher's pass-through L2 fills
-    // would double count, so L2 uselessness is only charged when no L1
-    // prefetching happened.
-    let useless = if l1_fills > 0 {
-        pf.l1().stats().useless_prefetches.saturating_sub(useless_l1_before)
+    let report = if predictor.is_passive() {
+        measure::<false, S, P>(source, predictor, cfg)
     } else {
-        pf.l2().stats().useless_prefetches.saturating_sub(useless_l2_before)
+        measure::<true, S, P>(source, predictor, cfg)
     };
-    // Clamp so the Figure 8 identity (correct + incorrect + train = 100%)
-    // holds even when useless prefetches outnumber unresolved misses.
-    report.incorrect = useless.min(report.base_l1_misses.saturating_sub(report.correct));
-    report.incorrect_prefetch_bytes = useless * line_bytes;
-    let t = predictor.traffic();
-    report.traffic = PredictorTraffic {
-        sequence_write_bytes: t.sequence_write_bytes - traffic_before.sequence_write_bytes,
-        sequence_read_bytes: t.sequence_read_bytes - traffic_before.sequence_read_bytes,
-        confidence_update_bytes: t.confidence_update_bytes - traffic_before.confidence_update_bytes,
-    };
-    report.storage_bytes = predictor.storage_bytes();
-    report.memory_bytes = predictor.memory_bytes();
     emit_run_point(&report);
     report
 }
 
-/// The single-hierarchy loop for passive predictors: the (base, pf)
-/// outcome pair is always identical, so `correct`, `early`, and every
-/// prefetch counter are structurally zero and each remaining pair of
-/// counters mirrors the baseline. Must produce byte-for-byte the report
-/// [`run_coverage`]'s two-hierarchy loop would.
-fn run_coverage_passive<S, P>(
+fn measure<const SHADOW: bool, S, P>(
     source: &mut S,
     predictor: &mut P,
     cfg: CoverageConfig,
@@ -327,67 +333,54 @@ where
     S: TraceSource,
     P: Prefetcher + ?Sized,
 {
-    let mut base = Hierarchy::new(cfg.hierarchy);
+    let mut stepper = CoverageStepper::<SHADOW>::new(cfg.hierarchy);
     let mut report =
         CoverageReport { predictor: predictor.name().to_string(), ..Default::default() };
-    let mut requests = Vec::new();
     let line_bytes = cfg.hierarchy.l1.line_bytes;
-    let initial_traffic = predictor.traffic();
-
-    // Warm-up prefix: state advances, nothing is counted. Splitting it
-    // out keeps the measured loop free of per-access warm-up compares.
-    for _ in 0..cfg.warmup.min(cfg.limit) {
-        let Some(a) = source.next_access() else { break };
-        let out = base.access(a.addr, a.kind);
-        predictor.on_access(&a, &out, &mut requests);
-        debug_assert!(
-            requests.is_empty(),
-            "passive predictor {} pushed a prefetch request",
-            predictor.name()
-        );
-        requests.clear();
-    }
-    // The warm-up traffic baseline is re-captured only once the measured
-    // phase actually begins (access #warmup exists), mirroring the
-    // two-hierarchy loop's reset-at-the-boundary behaviour exactly.
-    let mut traffic_before = initial_traffic;
-    let mut pending_reset = cfg.warmup > 0;
-
-    for _ in cfg.warmup.min(cfg.limit)..cfg.limit {
-        let Some(a) = source.next_access() else { break };
-        if pending_reset {
-            traffic_before = predictor.traffic();
-            pending_reset = false;
+    let warmup = cfg.warmup.min(cfg.limit);
+    // The measured phase reports relative to the warm-up boundary only
+    // once access #warmup exists: a trace that ends inside the warm-up
+    // counts nothing but reports the traffic and prefetches since the
+    // start.
+    let mut since = stepper.marks(predictor);
+    'run: {
+        // Warm-up prefix: state advances, nothing is counted. Splitting it
+        // out keeps the measured loop free of per-access warm-up compares.
+        for _ in 0..warmup {
+            let Some(a) = source.next_access() else { break 'run };
+            stepper.step(&a, predictor);
         }
-        let out = base.access(a.addr, a.kind);
-        report.accesses += 1;
-        report.instructions += a.instructions();
-        if out.level == MemLevel::Memory {
-            report.base_data_bytes += line_bytes;
-            report.base_l2_misses += 1;
-            report.pf_l2_misses += 1;
+        let boundary = stepper.marks(predictor);
+        for _ in warmup..cfg.limit {
+            let Some(a) = source.next_access() else { break };
+            report.record(&a, stepper.step(&a, predictor), line_bytes);
         }
-        if out.l2_writeback {
-            report.base_data_bytes += line_bytes;
+        if report.accesses > 0 {
+            since = boundary;
         }
-        if !out.l1.hit {
-            report.base_l1_misses += 1;
-            report.pf_l1_misses += 1;
-        }
-        predictor.on_access(&a, &out, &mut requests);
-        debug_assert!(
-            requests.is_empty(),
-            "passive predictor {} pushed a prefetch request",
-            predictor.name()
-        );
-        requests.clear();
     }
 
-    let t = predictor.traffic();
+    // Wrong-target accounting. For L1 (last-touch) prefetchers the useless
+    // L1 fills are the mispredictions; for L2-only prefetchers (GHB/stride)
+    // the useless L2 fills are. An L1 prefetcher's pass-through L2 fills
+    // would double count, so L2 uselessness is only charged when no L1
+    // prefetching happened (warm-up fills included).
+    let shadow = stepper.shadow();
+    let useless = if stepper.l1_fills > 0 {
+        shadow.l1().stats().useless_prefetches.saturating_sub(since.useless_l1)
+    } else {
+        shadow.l2().stats().useless_prefetches.saturating_sub(since.useless_l2)
+    };
+    report.prefetch_fills = stepper.fills - since.fills;
+    // Clamp so the Figure 8 identity (correct + incorrect + train = 100%)
+    // holds even when useless prefetches outnumber unresolved misses.
+    report.incorrect = useless.min(report.base_l1_misses.saturating_sub(report.correct));
+    report.incorrect_prefetch_bytes = useless * line_bytes;
+    let (t, before) = (predictor.traffic(), since.traffic);
     report.traffic = PredictorTraffic {
-        sequence_write_bytes: t.sequence_write_bytes - traffic_before.sequence_write_bytes,
-        sequence_read_bytes: t.sequence_read_bytes - traffic_before.sequence_read_bytes,
-        confidence_update_bytes: t.confidence_update_bytes - traffic_before.confidence_update_bytes,
+        sequence_write_bytes: t.sequence_write_bytes - before.sequence_write_bytes,
+        sequence_read_bytes: t.sequence_read_bytes - before.sequence_read_bytes,
+        confidence_update_bytes: t.confidence_update_bytes - before.confidence_update_bytes,
     };
     report.storage_bytes = predictor.storage_bytes();
     report.memory_bytes = predictor.memory_bytes();
@@ -440,17 +433,52 @@ mod tests {
     /// The passive shadow-skip must be invisible in the report: running
     /// the baseline with and without the second hierarchy produces the
     /// exact same CoverageReport (the golden wall asserts the same at
-    /// the engine level).
+    /// the engine level), including at the warm-up edge cases.
     #[test]
     fn passive_fast_path_mirrors_two_hierarchy_run() {
-        let cfg = CoverageConfig::paper(u64::MAX).with_warmup(500);
-        let fast = run_coverage(&mut conflict_loop(4, 64, 10), &mut NullPrefetcher::new(), cfg);
-        let slow = run_coverage(
-            &mut conflict_loop(4, 64, 10),
-            &mut DeclaredActive(NullPrefetcher::new()),
-            cfg,
-        );
-        assert_eq!(fast, slow);
+        // (limit, warmup, passes): every pass is 4 * 64 = 256 accesses.
+        let cases = [
+            (u64::MAX, 500, 10),
+            (2_000, 0, 10),
+            (u64::MAX, 0, 10),
+            (1_000, 1_000, 10),
+            (1_000, 1_500, 10),
+            (1_200, 300, 10),
+            // The trace ends inside the warm-up, or exactly at its end.
+            (u64::MAX, 3_000, 10),
+            (u64::MAX, 2_560, 10),
+            (u64::MAX, 100, 0),
+        ];
+        for (limit, warmup, passes) in cases {
+            let cfg = CoverageConfig::paper(limit).with_warmup(warmup);
+            let mut null = NullPrefetcher::new();
+            let fast = run_coverage(&mut conflict_loop(4, 64, passes), &mut null, cfg);
+            let slow = run_coverage(
+                &mut conflict_loop(4, 64, passes),
+                &mut DeclaredActive(NullPrefetcher::new()),
+                cfg,
+            );
+            assert_eq!(fast, slow, "limit {limit}, warmup {warmup}, {passes} passes");
+        }
+    }
+
+    /// A trace that ends inside the warm-up counts no access, but its
+    /// prefetch and wrong-target totals run from the start: they equal a
+    /// warm-up-free run's over the same trace.
+    #[test]
+    fn trace_ending_in_warmup_reports_totals_since_start() {
+        let run = |warmup| {
+            let cfg = CoverageConfig::paper(u64::MAX).with_warmup(warmup);
+            let mut p = DbcpPrefetcher::new(DbcpConfig::unlimited());
+            let mut mcf = ltc_trace::suite::by_name("mcf").unwrap().build(1).take_accesses(20_000);
+            run_coverage(&mut mcf, &mut p, cfg)
+        };
+        let (cut, full) = (run(20_001), run(0));
+        assert!(full.prefetch_fills > 0 && full.incorrect_prefetch_bytes > 0);
+        assert_eq!((cut.accesses, cut.base_l1_misses, cut.correct, cut.incorrect), (0, 0, 0, 0));
+        assert_eq!(cut.prefetch_fills, full.prefetch_fills);
+        assert_eq!(cut.incorrect_prefetch_bytes, full.incorrect_prefetch_bytes);
+        assert_eq!(cut.traffic, full.traffic);
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod stream;
 
 pub use cdf::LogHistogram;
 pub use correlation::{CorrelationAnalysis, SequenceLengths};
-pub use coverage::{run_coverage, CoverageConfig, CoverageReport};
+pub use coverage::{run_coverage, CoverageConfig, CoverageReport, CoverageStepper};
 pub use deadtime::DeadTimeTracker;
 pub use lasttouch_order::LastTouchOrderAnalysis;
 pub use stream::{

@@ -328,7 +328,6 @@ fn parse_figure_args(args: &[String]) -> Result<FigureArgs, String> {
         scale,
         format: "table".to_string(),
         opts: EngineOptions {
-            threads: scale.threads,
             backend: BackendKind::Threads,
             progress: ProgressMode::Auto,
             // Pick up LTC_FAULT_INJECT for chaos runs; --retries /
@@ -569,8 +568,7 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
     let mut segments: u32 = 1;
     let mut accesses: u64 = 2_000_000;
     let mut seed: u64 = 1;
-    let mut opts =
-        EngineOptions { threads: 4, fault: FaultPolicy::from_env(), ..EngineOptions::default() };
+    let mut opts = EngineOptions { fault: FaultPolicy::from_env(), ..EngineOptions::default() };
     let mut events: Option<String> = None;
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {

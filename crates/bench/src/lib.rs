@@ -4,8 +4,8 @@
 //! one paper table or figure needs and renders the rows from the engine's
 //! [`ltc_sim::engine::ResultSet`]; [`harness`] registers them all and
 //! drives the deduplicating scheduler across whichever figures are
-//! requested. The binaries in `src/bin/` (including the `ltsim` CLI with
-//! its `plan`/`run`/`render` subcommands) print them; the Criterion
+//! requested. The `ltsim` CLI prints them (`ltsim run --figures X`, with
+//! `plan`/`render` alongside); the Criterion
 //! benches in `benches/` run the same kernels at reduced scale so
 //! `cargo bench` regenerates everything.
 //!

@@ -98,7 +98,7 @@ fn worker_rejects_model_version_mismatch() {
 /// and, therefore, byte-identical rendered tables.
 #[test]
 fn all_three_backends_render_identical_tables() {
-    let scale = Scale { coverage_accesses: 20_000, timing_accesses: 10_000, threads: 3 };
+    let scale = Scale { coverage_accesses: 20_000, timing_accesses: 10_000 };
     let figures = [harness::by_name("fig08").unwrap(), harness::by_name("table2").unwrap()];
     let backends = [
         BackendKind::Threads,
@@ -109,7 +109,7 @@ fn all_three_backends_render_identical_tables() {
     let mut rendered: Vec<Vec<String>> = Vec::new();
     let mut simulated = Vec::new();
     for backend in backends {
-        let opts = EngineOptions::in_memory(scale.threads).with_backend(backend);
+        let opts = EngineOptions::in_memory(3).with_backend(backend);
         let mut results = ResultSet::new();
         harness::collect(&figures, scale, &opts, &mut results).expect("backend execution");
         simulated.push(results.simulated());

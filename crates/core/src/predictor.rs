@@ -126,9 +126,6 @@ impl LtCords {
         if from >= to {
             return;
         }
-        if std::env::var_os("LTC_DEBUG_STREAM").is_some() && to - from > 256 {
-            eprintln!("big stream: frame={frame} from={from} to={to}");
-        }
         let unit = self.cfg.transfer_unit as u32;
         let rounded = to.div_ceil(unit) * unit;
         for (ptr, rec) in self.storage.stream(frame, from, rounded) {
@@ -266,11 +263,9 @@ mod tests {
                     misses += u64::from(!o.l1.hit);
                     lt.on_access(&a, &o, &mut out);
                     for req in out.drain(..) {
-                        if h.l1().contains(req.target) {
-                            continue;
+                        if let Some((po, src)) = req.apply(h) {
+                            lt.on_prefetch_applied(&req, &po, src);
                         }
-                        let (po, src) = h.prefetch_into_l1(req.target, req.victim);
-                        lt.on_prefetch_applied(&req, &po, src);
                     }
                 }
             }
@@ -373,11 +368,9 @@ mod tests {
                     let o = h.access(a.addr, AccessKind::Load);
                     lt.on_access(&a, &o, &mut out);
                     for req in out.drain(..) {
-                        if h.l1().contains(req.target) {
-                            continue;
+                        if let Some((po, src)) = req.apply(&mut h) {
+                            lt.on_prefetch_applied(&req, &po, src);
                         }
-                        let (po, src) = h.prefetch_into_l1(req.target, req.victim);
-                        lt.on_prefetch_applied(&req, &po, src);
                     }
                 }
             }

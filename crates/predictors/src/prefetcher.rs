@@ -1,6 +1,6 @@
 //! The prefetcher interface shared by all predictors.
 
-use ltc_cache::{HierarchyOutcome, ImageError, MemLevel, PrefetchOutcome};
+use ltc_cache::{Hierarchy, HierarchyOutcome, ImageError, MemLevel, PrefetchOutcome};
 use ltc_trace::{Addr, MemoryAccess};
 use serde::{Deserialize, Serialize};
 
@@ -38,6 +38,23 @@ impl PrefetchRequest {
     /// An L2 prefetch with policy-chosen placement.
     pub fn into_l2(target: Addr) -> Self {
         PrefetchRequest { target, victim: None, level: PrefetchLevel::L2 }
+    }
+
+    /// Performs this prefetch on `hierarchy`: the one request-application
+    /// rule every driver (coverage, multiprog, timing, tests) shares.
+    ///
+    /// Returns `None` — and leaves the hierarchy untouched — when the
+    /// target is already resident at the destination level. Otherwise
+    /// returns the fill outcome and the level the data came from, which
+    /// the driver reports back via [`Prefetcher::on_prefetch_applied`].
+    #[inline]
+    pub fn apply(&self, hierarchy: &mut Hierarchy) -> Option<(PrefetchOutcome, MemLevel)> {
+        match self.level {
+            PrefetchLevel::L1 => (!hierarchy.l1().contains(self.target))
+                .then(|| hierarchy.prefetch_into_l1(self.target, self.victim)),
+            PrefetchLevel::L2 => (!hierarchy.l2().contains(self.target))
+                .then(|| hierarchy.prefetch_into_l2(self.target)),
+        }
     }
 }
 
@@ -212,6 +229,22 @@ mod tests {
         let r2 = PrefetchRequest::into_l2(Addr(64));
         assert_eq!(r2.level, PrefetchLevel::L2);
         assert!(r2.victim.is_none());
+    }
+
+    #[test]
+    fn apply_skips_resident_targets_per_level() {
+        use ltc_cache::HierarchyConfig;
+        let mut h = Hierarchy::new(HierarchyConfig::paper());
+        let l2 = PrefetchRequest::into_l2(Addr(0x3000));
+        let (_, from) = l2.apply(&mut h).expect("cold target fills");
+        assert_eq!(from, MemLevel::Memory);
+        assert!(h.l2().contains(Addr(0x3000)) && !h.l1().contains(Addr(0x3000)));
+        assert!(l2.apply(&mut h).is_none(), "already in L2");
+        // Resident in L2 but not L1: an L1 request still fills, from L2.
+        let l1 = PrefetchRequest { target: Addr(0x3000), victim: None, level: PrefetchLevel::L1 };
+        let (_, from) = l1.apply(&mut h).expect("L1 fill");
+        assert_eq!(from, MemLevel::L2);
+        assert!(l1.apply(&mut h).is_none(), "already in L1");
     }
 
     #[test]

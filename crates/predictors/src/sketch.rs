@@ -227,11 +227,9 @@ mod tests {
                 misses += u64::from(!o.l1.hit);
                 p.on_access(&a, &o, &mut out);
                 for req in out.drain(..) {
-                    if h.l1().contains(req.target) {
-                        continue;
+                    if let Some((po, src)) = req.apply(&mut h) {
+                        p.on_prefetch_applied(&req, &po, src);
                     }
-                    let (po, src) = h.prefetch_into_l1(req.target, req.victim);
-                    p.on_prefetch_applied(&req, &po, src);
                 }
             }
         }

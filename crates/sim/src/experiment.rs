@@ -1,10 +1,12 @@
 //! Named predictor configurations and experiment drivers.
 
-use ltc_analysis::{run_coverage as run_coverage_inner, CoverageConfig, CoverageReport};
-use ltc_cache::Hierarchy;
+use ltc_analysis::{
+    run_coverage as run_coverage_inner, CoverageConfig, CoverageReport, CoverageStepper,
+};
+use ltc_cache::HierarchyConfig;
 use ltc_predictors::{
-    DbcpConfig, DbcpPrefetcher, GhbConfig, GhbPrefetcher, NullPrefetcher, PrefetchLevel,
-    Prefetcher, SketchDbcp, SketchDbcpConfig, StrideConfig, StridePrefetcher,
+    DbcpConfig, DbcpPrefetcher, GhbConfig, GhbPrefetcher, NullPrefetcher, Prefetcher, SketchDbcp,
+    SketchDbcpConfig, StrideConfig, StridePrefetcher,
 };
 use ltc_timing::{TimingConfig, TimingReport, TimingSim};
 use ltc_trace::{suite, MultiProgram};
@@ -192,10 +194,7 @@ pub fn run_multiprog(
 ) -> MultiProgReport {
     let ef = suite::by_name(focus).unwrap_or_else(|| panic!("unknown benchmark {focus}"));
     let mut predictor = kind.build();
-    let cfg = CoverageConfig::paper(accesses);
-    let mut base = Hierarchy::new(cfg.hierarchy);
-    let mut pf = Hierarchy::new(cfg.hierarchy);
-    let mut requests = Vec::new();
+    let mut stepper = CoverageStepper::<true>::new(HierarchyConfig::paper());
     let mut report = MultiProgReport::default();
 
     let mut programs = vec![(ef.build(seed), multiprog_quantum(focus), 0)];
@@ -209,86 +208,39 @@ pub fn run_multiprog(
 
     for _ in 0..total {
         let Some((prog, acc)) = multi.next_tagged() else { break };
-        let b_out = base.access(acc.addr, acc.kind);
-        let p_out = pf.access(acc.addr, acc.kind);
+        let (base, shadow) = stepper.step(&acc, predictor.as_mut());
         if prog == 0 {
-            report.focus_misses += u64::from(!b_out.l1.hit);
-            report.eliminated += u64::from(!b_out.l1.hit && p_out.l1.hit);
-        }
-        predictor.on_access(&acc, &p_out, &mut requests);
-        for req in requests.drain(..) {
-            if req.level == PrefetchLevel::L1 && !pf.l1().contains(req.target) {
-                let (out, src) = pf.prefetch_into_l1(req.target, req.victim);
-                predictor.on_prefetch_applied(&req, &out, src);
-            }
+            report.focus_misses += u64::from(!base.l1.hit);
+            report.eliminated += u64::from(!base.l1.hit && shadow.l1.hit);
         }
     }
     report
-}
-
-/// Runs `job` for every input in parallel (bounded by the available
-/// parallelism), preserving input order in the output.
-pub fn sweep<I, O, F>(inputs: Vec<I>, job: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    sweep_bounded(inputs, threads, job)
-}
-
-/// Like [`sweep`] but with an explicit thread cap (memory-heavy experiments
-/// such as the Figure 4 DBCP table sweep bound their working set this way).
-pub fn sweep_bounded<I, O, F>(inputs: Vec<I>, threads: usize, job: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    let threads = threads.max(1);
-    let n = inputs.len();
-    let mut out: Vec<Option<O>> = (0..n).map(|_| None).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<&mut Option<O>>> =
-        out.iter_mut().map(std::sync::Mutex::new).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n.max(1)) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let result = job(&inputs[i]);
-                // Poisoning is impossible: the lock is held only for this
-                // infallible assignment (a panic in `job` happens unlocked
-                // and propagates via the scope's implicit join).
-                **slots[i].lock().expect("sweep worker panicked") = Some(result);
-            });
-        }
-    });
-    drop(slots);
-    out.into_iter().map(|o| o.expect("every slot filled")).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn all_kinds_instantiate() {
-        for kind in [
+    /// Every predictor configuration, with small table budgets.
+    fn kinds() -> [PredictorKind; 11] {
+        [
             PredictorKind::Baseline,
             PredictorKind::PerfectL1,
             PredictorKind::LtCords,
+            PredictorKind::LtCordsWith(LtCordsConfig::paper()),
             PredictorKind::DbcpUnlimited,
             PredictorKind::Dbcp2Mb,
-            PredictorKind::DbcpBytes(1 << 20),
-            PredictorKind::SketchDbcp(256 << 10),
+            PredictorKind::DbcpBytes(4 << 10),
+            PredictorKind::SketchDbcp(32 << 10),
             PredictorKind::Ghb,
             PredictorKind::Stride,
             PredictorKind::BigL2,
-        ] {
+        ]
+    }
+
+    #[test]
+    fn all_kinds_instantiate() {
+        for kind in kinds() {
             let p = kind.build();
             let _ = p.storage_bytes();
             let _ = kind.name();
@@ -317,10 +269,24 @@ mod tests {
         assert!(ideal.ipc() > base.ipc());
     }
 
+    /// `run_multiprog` without a partner is a warm-up-free coverage run:
+    /// it must count the same misses and eliminations as
+    /// `ltc_analysis::run_coverage` over the same source, for every kind.
     #[test]
-    fn sweep_preserves_order() {
-        let outputs = sweep(vec![1u64, 2, 3, 4, 5], |&x| x * 10);
-        assert_eq!(outputs, vec![10, 20, 30, 40, 50]);
+    fn solo_multiprog_matches_coverage_run() {
+        let (benchmark, accesses, seed) = ("gcc", 40_000, 3);
+        let mut eliminated = 0;
+        for kind in kinds() {
+            let multi = run_multiprog(benchmark, None, kind, accesses, seed);
+            let mut source = suite::by_name(benchmark).unwrap().build(seed);
+            let cfg = CoverageConfig::paper(accesses);
+            let cov = run_coverage_inner(&mut source, kind.build().as_mut(), cfg);
+            assert!(cov.base_l1_misses > 0);
+            assert_eq!(multi.focus_misses, cov.base_l1_misses, "{kind:?}");
+            assert_eq!(multi.eliminated, cov.correct, "{kind:?}");
+            eliminated += multi.eliminated;
+        }
+        assert!(eliminated > 0, "no kind eliminated a miss: the parity is vacuous");
     }
 
     #[test]

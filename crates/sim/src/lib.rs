@@ -5,8 +5,7 @@
 //! figure/table benches:
 //!
 //! * [`experiment`] — named predictor configurations ([`PredictorKind`]),
-//!   coverage, timing and multi-programmed experiment drivers, and a
-//!   parallel sweep helper.
+//!   and the coverage, timing and multi-programmed experiment drivers.
 //! * [`engine`] — the unified experiment engine: declarative [`RunSpec`]
 //!   keys, a deduplicating [`engine::Scheduler`] planning over pluggable
 //!   [`engine::ExecutionBackend`]s (thread pool, work-stealing shards,
@@ -32,8 +31,8 @@ pub use engine::{
     RunResult, RunSpec, Scheduler,
 };
 pub use experiment::{
-    run_coverage, run_multiprog, run_timing, sweep, MultiProgReport, PredictorKind,
-    COVERAGE_ACCESSES, TIMING_ACCESSES,
+    run_coverage, run_multiprog, run_timing, MultiProgReport, PredictorKind, COVERAGE_ACCESSES,
+    TIMING_ACCESSES,
 };
 pub use report::Table;
 

@@ -6,7 +6,7 @@
 //! instead of replaying the warm-up window.
 
 use ltc_cache::{Hierarchy, HierarchyConfig, HierarchyImage};
-use ltc_predictors::{PredictorImage, PrefetchLevel, Prefetcher};
+use ltc_predictors::{PredictorImage, Prefetcher};
 use ltc_sim::experiment::PredictorKind;
 use ltc_sim::trace::suite;
 use ltcords::LtCordsConfig;
@@ -44,21 +44,8 @@ fn drive(
         let out = hierarchy.access(a.addr, a.kind);
         predictor.on_access(&a, &out, &mut requests);
         for req in requests.drain(..) {
-            match req.level {
-                PrefetchLevel::L1 => {
-                    if hierarchy.l1().contains(req.target) {
-                        continue;
-                    }
-                    let (out, src) = hierarchy.prefetch_into_l1(req.target, req.victim);
-                    predictor.on_prefetch_applied(&req, &out, src);
-                }
-                PrefetchLevel::L2 => {
-                    if hierarchy.l2().contains(req.target) {
-                        continue;
-                    }
-                    let (out, src) = hierarchy.prefetch_into_l2(req.target);
-                    predictor.on_prefetch_applied(&req, &out, src);
-                }
+            if let Some((out, src)) = req.apply(hierarchy) {
+                predictor.on_prefetch_applied(&req, &out, src);
             }
         }
     }

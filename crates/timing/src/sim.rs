@@ -91,22 +91,8 @@ impl TimingSim {
                     break;
                 }
                 in_flight.pop_front();
-                let outcome = match req.level {
-                    PrefetchLevel::L1 => {
-                        if hierarchy.l1().contains(req.target) {
-                            continue;
-                        }
-                        report.prefetch_fills += 1;
-                        hierarchy.prefetch_into_l1(req.target, req.victim).0
-                    }
-                    PrefetchLevel::L2 => {
-                        if hierarchy.l2().contains(req.target) {
-                            continue;
-                        }
-                        report.prefetch_fills += 1;
-                        hierarchy.prefetch_into_l2(req.target).0
-                    }
-                };
+                let Some((outcome, _)) = req.apply(&mut hierarchy) else { continue };
+                report.prefetch_fills += 1;
                 predictor.on_prefetch_applied(&req, &outcome, src);
             }
 
